@@ -169,7 +169,7 @@ impl Adversary<LocalCounting> for FakeExpanderAdversary {
                     .announce(world.fake_pids[f.index()], edges)
                     .expect("phantom story is self-consistent");
             }
-            ctx.broadcast(b, LocalMsg(fake_view));
+            ctx.broadcast(b, LocalMsg::new(fake_view));
         }
     }
 
@@ -226,7 +226,7 @@ impl Adversary<LocalCounting> for EdgeInjectorAdversary {
                     phantom_edges.push(Pid(rng.gen()));
                 }
                 v.announce(phantom, phantom_edges).expect("self-consistent");
-                ctx.send(b, to, LocalMsg(v));
+                ctx.send(b, to, LocalMsg::new(v));
             }
         }
     }

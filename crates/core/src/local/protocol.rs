@@ -1,5 +1,7 @@
 //! The per-node state machine of Algorithm 1.
 
+use std::sync::Arc;
+
 use bcount_graph::TopologyView;
 use bcount_sim::{MessageSize, NodeContext, NodeInit, Pid, Protocol};
 use serde::{Deserialize, Serialize};
@@ -10,8 +12,20 @@ use super::checks::{run_expansion_checks, CheckOutcome, LocalConfig};
 /// `B̂(u, i)`. This is a LOCAL-model protocol — messages grow to
 /// polynomial size by design, which the metrics make visible (contrast
 /// with [`crate::congest::CongestCounting`]).
+///
+/// The view is one immutable snapshot behind an [`Arc`]: a broadcast hands
+/// every neighbour the same snapshot rather than a deep copy each, while
+/// [`MessageSize`] still charges the full view per copy. `Arc` rather than
+/// `Rc` keeps the message `Send` for the parallel engine.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LocalMsg(pub TopologyView<Pid>);
+pub struct LocalMsg(pub Arc<TopologyView<Pid>>);
+
+impl LocalMsg {
+    /// Wraps `view` as a message.
+    pub fn new(view: TopologyView<Pid>) -> Self {
+        LocalMsg(Arc::new(view))
+    }
+}
 
 impl MessageSize for LocalMsg {
     fn size_bits(&self, id_bits: u32) -> u64 {
@@ -112,7 +126,7 @@ impl Protocol for LocalCounting {
             self.view
                 .announce(self.me, self.neighbors.iter().copied())
                 .expect("own announcement is consistent");
-            ctx.broadcast(LocalMsg(self.view.clone()));
+            ctx.broadcast(LocalMsg::new(self.view.clone()));
             return;
         }
         // Simulation horizon (Remark 1: eclipsed nodes never self-terminate).
@@ -157,7 +171,7 @@ impl Protocol for LocalCounting {
             return;
         }
         // Line 3: broadcast the grown view.
-        ctx.broadcast(LocalMsg(self.view.clone()));
+        ctx.broadcast(LocalMsg::new(self.view.clone()));
     }
 
     fn output(&self) -> Option<LocalEstimate> {
@@ -175,8 +189,10 @@ mod tests {
     use bcount_graph::analysis::bfs::diameter;
     use bcount_graph::gen::hnd;
     use bcount_sim::prelude::*;
+    use bcount_sim::{ByzantineContext, FullInfoView};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+    use std::collections::BTreeSet;
 
     fn run_benign(n: usize, d: usize, seed: u64) -> (SimReport<LocalEstimate>, u32) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -280,8 +296,68 @@ mod tests {
     fn message_size_accounts_for_view_contents() {
         let mut v: TopologyView<Pid> = TopologyView::new();
         v.announce(Pid(1), [Pid(2), Pid(3)]).unwrap();
-        let msg = LocalMsg(v);
+        let msg = LocalMsg::new(v);
         // 1 announced node + 2 edge entries + 2 frontier mentions = 5 IDs.
         assert_eq!(msg.size_bits(64), 5 * 64);
+        // A shared copy is charged the same: sharing saves memory, not bits.
+        assert_eq!(msg.clone().size_bits(64), 5 * 64);
+    }
+
+    /// Records, per round, whether every copy of each honest sender's
+    /// broadcast points at one shared view.
+    struct SharingProbe {
+        rounds: Arc<std::sync::Mutex<Vec<(u64, usize, bool)>>>,
+    }
+
+    impl Adversary<LocalCounting> for SharingProbe {
+        fn on_round(
+            &mut self,
+            view: &FullInfoView<'_, LocalCounting>,
+            _ctx: &mut ByzantineContext<'_, LocalMsg>,
+        ) {
+            let sent = view.honest_outgoing();
+            let shared = sent.iter().all(|(from, _, msg)| {
+                sent.iter()
+                    .filter(|(other, _, _)| other == from)
+                    .all(|(_, _, copy)| Arc::ptr_eq(&msg.0, &copy.0))
+            });
+            let senders = sent
+                .iter()
+                .map(|(from, _, _)| *from)
+                .collect::<BTreeSet<_>>();
+            let mut rounds = self.rounds.lock().unwrap();
+            rounds.push((view.round(), senders.len(), shared));
+        }
+
+        fn observes_traffic(&self) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    fn broadcast_copies_share_one_snapshot() {
+        let mut rng = ChaCha8Rng::seed_from_u64(4);
+        let g = hnd(32, 8, &mut rng).unwrap();
+        let rounds = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let cfg = LocalConfig {
+            max_degree: 9,
+            ..LocalConfig::default()
+        };
+        let mut sim = Simulation::new(
+            &g,
+            &[],
+            |_, init| LocalCounting::new(cfg, init),
+            SharingProbe {
+                rounds: Arc::clone(&rounds),
+            },
+            SimConfig {
+                max_rounds: 2,
+                ..SimConfig::default()
+            },
+        );
+        sim.run();
+        // Round 1 broadcasts the initial view, round 2 the merged one:
+        // both honest broadcast sites, every node sending.
+        assert_eq!(*rounds.lock().unwrap(), vec![(1, 32, true), (2, 32, true)]);
     }
 }

@@ -18,7 +18,8 @@
 //! byte down a self-pipe (the only async-signal-safe option), a watcher
 //! thread turns that into a [`Shutdown::request`], and the serve loop —
 //! blocked on its event channel, not a poll tick — wakes immediately,
-//! finishes the in-flight request, flushes its reply, and exits.
+//! finishes the in-flight request, flushes its reply, and exits. Between
+//! socket connections the accept loop is woken the same way.
 
 use std::io::BufReader;
 
@@ -218,35 +219,11 @@ fn num_arg<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, flag: 
 
 #[cfg(unix)]
 fn serve_socket(path: &str, server: &mut Server) -> std::io::Result<()> {
-    use std::os::unix::net::UnixListener;
-
     // A stale socket file from a previous run would make bind fail.
     let _ = std::fs::remove_file(path);
-    let listener = UnixListener::bind(path)?;
-    // Nonblocking accept so SIGTERM between connections is honored
-    // within one tick rather than waiting for the next client.
-    listener.set_nonblocking(true)?;
+    let listener = std::os::unix::net::UnixListener::bind(path)?;
     eprintln!("bcountd: listening on {path}");
-    loop {
-        if SHUTDOWN.is_requested() {
-            return Ok(());
-        }
-        match listener.accept() {
-            Ok((stream, _addr)) => {
-                stream.set_nonblocking(false)?;
-                let writer = stream.try_clone()?;
-                // A client hanging up mid-line is a normal disconnect,
-                // not a daemon failure; sessions outlive the connection.
-                if let Err(e) = serve_graceful(BufReader::new(stream), writer, server, &SHUTDOWN) {
-                    eprintln!("bcountd: connection error: {e}");
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(std::time::Duration::from_millis(25));
-            }
-            Err(e) => return Err(e),
-        }
-    }
+    bcount_daemon::serve_unix(listener, server, &SHUTDOWN)
 }
 
 #[cfg(not(unix))]

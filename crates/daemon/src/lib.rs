@@ -34,5 +34,7 @@ pub mod wire;
 pub use journal::{FsyncPolicy, Journal, RecoveryStats};
 pub use server::{DurabilityOptions, Server, ServerLimits};
 pub use spec::{SessionInfo, SessionSpec, SpecError};
+#[cfg(unix)]
+pub use transport::serve_unix;
 pub use transport::{serve, serve_graceful, LineEvent, Shutdown, MAX_LINE_BYTES};
 pub use wire::{ErrorCode, Request, Response, WireError, SCHEMA};

@@ -14,11 +14,14 @@
 //!   shutdown request interrupts the wait *immediately* (no poll tick):
 //!   the in-flight request finishes, already-read lines are drained and
 //!   replied to, everything is flushed, and the loop returns instead of
-//!   dying mid-line.
+//!   dying mid-line. [`serve_unix`] accepts socket connections the same
+//!   way: a blocking acceptor thread and shutdown wakes share one channel.
 
 use std::io::{BufRead, Write};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Sender};
+#[cfg(unix)]
+use std::os::unix::net::{UnixListener, UnixStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc;
 use std::sync::Mutex;
 use std::thread;
 
@@ -50,8 +53,12 @@ pub(crate) enum Pump {
 /// a watcher thread reads it and calls `request()`).
 pub struct Shutdown {
     flag: AtomicBool,
-    wakers: Mutex<Vec<Sender<Pump>>>,
+    next_id: AtomicU64,
+    wakers: Mutex<Vec<(u64, Waker)>>,
 }
+
+/// Pushes a wake event into one running serve loop's channel.
+type Waker = Box<dyn Fn() + Send>;
 
 impl Shutdown {
     /// A shutdown signal in the "not requested" state. `const`, so it
@@ -59,17 +66,18 @@ impl Shutdown {
     pub const fn new() -> Self {
         Shutdown {
             flag: AtomicBool::new(false),
+            next_id: AtomicU64::new(0),
             wakers: Mutex::new(Vec::new()),
         }
     }
 
-    /// Requests shutdown: raises the flag and wakes every registered
-    /// serve loop. Idempotent; dead wakers (loops that already
-    /// returned) are purged as a side effect.
+    /// Requests shutdown: raises the flag and wakes every running serve
+    /// loop. Idempotent.
     pub fn request(&self) {
         self.flag.store(true, Ordering::SeqCst);
-        let mut wakers = self.wakers.lock().unwrap_or_else(|e| e.into_inner());
-        wakers.retain(|w| w.send(Pump::Wake).is_ok());
+        for (_, wake) in self.wakers().iter() {
+            wake();
+        }
     }
 
     /// Whether shutdown has been requested.
@@ -77,10 +85,30 @@ impl Shutdown {
         self.flag.load(Ordering::SeqCst)
     }
 
-    /// Registers a serve loop's event channel for wake-ups.
-    fn register(&self, waker: Sender<Pump>) {
-        let mut wakers = self.wakers.lock().unwrap_or_else(|e| e.into_inner());
-        wakers.push(waker);
+    /// Registers a serve loop's wake-up for as long as the returned
+    /// guard lives, so a daemon serving many connections keeps one
+    /// waker per running loop, not one per loop it ever ran.
+    fn register(&self, wake: impl Fn() + Send + 'static) -> Registration<'_> {
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        self.wakers().push((id, Box::new(wake)));
+        Registration { shutdown: self, id }
+    }
+
+    fn wakers(&self) -> std::sync::MutexGuard<'_, Vec<(u64, Waker)>> {
+        self.wakers.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+/// A serve loop's entry in the [`Shutdown`] registry; dropping it (when
+/// the loop returns) removes the waker.
+struct Registration<'a> {
+    shutdown: &'a Shutdown,
+    id: u64,
+}
+
+impl Drop for Registration<'_> {
+    fn drop(&mut self) {
+        self.shutdown.wakers().retain(|(id, _)| *id != self.id);
     }
 }
 
@@ -196,10 +224,13 @@ pub fn serve_graceful(
     shutdown: &Shutdown,
 ) -> std::io::Result<()> {
     let (tx, rx) = mpsc::channel::<Pump>();
-    // The registry keeps a sender alive for the rest of this Shutdown's
-    // life, so Disconnected can never signal EOF — the reader thread
-    // sends an explicit Pump::Eof instead.
-    shutdown.register(tx.clone());
+    // The registry keeps a sender alive while the loop runs, so
+    // Disconnected can never signal EOF — the reader thread sends an
+    // explicit Pump::Eof instead.
+    let waker = tx.clone();
+    let _registration = shutdown.register(move || {
+        let _ = waker.send(Pump::Wake);
+    });
     // The reader thread is detached: if the loop exits while the thread
     // is blocked in a read, its next send fails on the dropped receiver
     // and it unwinds quietly (or the process exits first — stdin reads
@@ -258,6 +289,109 @@ pub fn serve_graceful(
             Ok(Pump::Io(Err(e))) => return Err(e),
             Ok(Pump::Wake) => continue,
             Ok(Pump::Eof) | Err(_) => return Ok(()),
+        }
+    }
+}
+
+/// One event of [`serve_unix`]'s loop: an accepted connection or a
+/// shutdown wake.
+#[cfg(unix)]
+enum Accept {
+    /// The next connection, or the accept error that ended the acceptor.
+    Conn(std::io::Result<UnixStream>),
+    /// [`Shutdown::request`] fired; re-check the flag.
+    Wake,
+}
+
+/// Serves the connections of `listener` one at a time with
+/// [`serve_graceful`], all against the one `server` (sessions outlive
+/// connections), until `shutdown` is requested.
+///
+/// An acceptor thread blocks in `accept` and hands each connection over a
+/// one-slot channel; [`Shutdown::request`] pushes a wake into the same
+/// channel. The loop blocks on one `recv()`, so a client is served as soon
+/// as it connects and a shutdown between connections returns at once — no
+/// poll tick either way. The single slot bounds what waits behind the
+/// connection in service to two accepted connections (one in the slot, one
+/// in the acceptor's hand); later clients wait in the listen backlog.
+///
+/// The listener is closed before this returns, so a client that connects
+/// afterwards is refused rather than accepted and left unanswered. The one
+/// exception is a listener whose path is gone (unlinked, or never bound to
+/// one): nothing can then wake the acceptor, which keeps the listener open
+/// until the process exits.
+///
+/// # Errors
+///
+/// An `accept` failure ends the loop with that error. A failure on one
+/// connection (a client hanging up mid-line) is reported on stderr and the
+/// loop serves the next one.
+#[cfg(unix)]
+pub fn serve_unix(
+    listener: UnixListener,
+    server: &mut Server,
+    shutdown: &Shutdown,
+) -> std::io::Result<()> {
+    let path = listener
+        .local_addr()?
+        .as_pathname()
+        .map(|p| p.to_path_buf());
+    let (tx, rx) = mpsc::sync_channel::<Accept>(1);
+    let waker = tx.clone();
+    // A full slot already holds an event that brings the loop back to its
+    // flag check, so a wake never waits for room.
+    let _registration = shutdown.register(move || {
+        let _ = waker.try_send(Accept::Wake);
+    });
+    // Dropped by the acceptor right after the listener, so its
+    // disconnection tells the loop the listener is closed.
+    let (closed_tx, closed_rx) = mpsc::channel::<()>();
+    thread::spawn(move || {
+        for conn in listener.incoming() {
+            let failed = conn.is_err();
+            if tx.send(Accept::Conn(conn)).is_err() || failed {
+                break;
+            }
+        }
+        drop(listener);
+        drop(closed_tx);
+    });
+    let result = accept_loop(&rx, server, shutdown);
+    // With the receiver gone, a connection of our own wakes the acceptor
+    // from `accept`; its send then fails and it closes the listener. The
+    // wait is bounded in case the path now names some other socket.
+    drop(rx);
+    if let Some(path) = path {
+        if UnixStream::connect(path).is_ok() {
+            let _ = closed_rx.recv_timeout(std::time::Duration::from_secs(1));
+        }
+    }
+    result
+}
+
+/// [`serve_unix`]'s loop over acceptor events.
+#[cfg(unix)]
+fn accept_loop(
+    rx: &mpsc::Receiver<Accept>,
+    server: &mut Server,
+    shutdown: &Shutdown,
+) -> std::io::Result<()> {
+    loop {
+        if shutdown.is_requested() {
+            return Ok(());
+        }
+        match rx.recv() {
+            Ok(Accept::Conn(Ok(stream))) => {
+                let writer = stream.try_clone()?;
+                let reader = std::io::BufReader::new(stream);
+                if let Err(e) = serve_graceful(reader, writer, server, shutdown) {
+                    eprintln!("bcountd: connection error: {e}");
+                }
+            }
+            Ok(Accept::Conn(Err(e))) => return Err(e),
+            // The registry holds a sender while the loop runs, so the
+            // channel never disconnects here.
+            Ok(Accept::Wake) | Err(_) => continue,
         }
     }
 }
@@ -342,6 +476,56 @@ mod tests {
         assert!(shutdown.is_requested());
         assert!(out.is_empty());
         drop(hold_tx);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn shutdown_request_wakes_an_idle_accept_loop() {
+        use std::sync::Arc;
+        use std::time::{Duration, Instant};
+
+        let dir = std::env::temp_dir().join(format!("bcountd-accept-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("idle.sock");
+        let _ = std::fs::remove_file(&path);
+        let listener = UnixListener::bind(&path).unwrap();
+        let shutdown = Arc::new(Shutdown::new());
+        let signal = Arc::clone(&shutdown);
+        let (done_tx, done_rx) = mpsc::channel();
+        // No client ever connects, so the acceptor stays blocked in
+        // `accept`: only the shutdown wake can end the loop.
+        thread::spawn(move || {
+            let mut server = Server::new();
+            let result = serve_unix(listener, &mut server, &signal);
+            let _ = done_tx.send((result.is_ok(), Instant::now()));
+        });
+        thread::sleep(Duration::from_millis(50));
+        let requested = Instant::now();
+        shutdown.request();
+        let (ok, returned) = done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("accept loop did not return after a shutdown request");
+        assert!(ok);
+        assert!(
+            returned.duration_since(requested) < Duration::from_secs(1),
+            "accept loop took {:?} to notice the shutdown",
+            returned.duration_since(requested)
+        );
+        // The listener is closed on return: a late client is refused, not
+        // accepted and left without a reply.
+        assert!(UnixStream::connect(&path).is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn finished_serve_loops_leave_no_wakers_behind() {
+        let shutdown = Shutdown::new();
+        let mut server = Server::new();
+        for _ in 0..3 {
+            let reader = std::io::Cursor::new(b"\n".to_vec());
+            serve_graceful(reader, Vec::new(), &mut server, &shutdown).unwrap();
+        }
+        assert!(shutdown.wakers().is_empty());
     }
 
     #[test]

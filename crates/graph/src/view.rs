@@ -131,6 +131,12 @@ impl<I: Copy + Ord> TopologyView<I> {
             }
             return Ok(());
         }
+        self.insert_new(node, set)
+    }
+
+    /// Records the announcement of a node that has not announced yet,
+    /// after the symmetry checks against the already-announced peers.
+    fn insert_new(&mut self, node: I, set: BTreeSet<I>) -> Result<(), ViewInconsistency<I>> {
         // Symmetry against already-announced peers, in O(|set| log + |namers|):
         // (a) every announced node in the new list must name us back;
         // (b) every announced node already naming us must be in the list.
@@ -178,10 +184,18 @@ impl<I: Copy + Ord> TopologyView<I> {
     /// harmless).
     pub fn merge(&mut self, other: &TopologyView<I>) -> Result<bool, ViewInconsistency<I>> {
         let mut changed = false;
-        for (&node, edges) in &other.adj {
-            let before = self.adj.len() + self.mentioned.len();
-            self.announce(node, edges.iter().copied())?;
-            changed |= self.adj.len() + self.mentioned.len() != before;
+        for (node, edges) in &other.adj {
+            // The same outcome as `announce`, without building a fresh set
+            // for a node this view already holds: most of a received view
+            // repeats what the receiver learned in earlier rounds.
+            match self.adj.get(node) {
+                Some(existing) if existing == edges => {}
+                Some(_) => return Err(ViewInconsistency::ConflictingAnnouncement { node: *node }),
+                None => {
+                    self.insert_new(*node, edges.clone())?;
+                    changed = true;
+                }
+            }
         }
         Ok(changed)
     }
@@ -348,6 +362,32 @@ mod tests {
         assert!(!a.merge(&b).unwrap());
         assert_eq!(a.announced_count(), 2);
         assert_eq!(a.mentioned_count(), 3);
+    }
+
+    #[test]
+    fn remerging_an_identical_view_learns_nothing() {
+        let mut a: TopologyView<u32> = TopologyView::new();
+        a.announce(0, [1, 2]).unwrap();
+        a.announce(1, [0]).unwrap();
+        let copy = a.clone();
+        assert!(!a.merge(&copy).unwrap());
+        assert_eq!(a, copy);
+    }
+
+    #[test]
+    fn merge_reports_a_conflict_past_the_first_node() {
+        let mut a: TopologyView<u32> = TopologyView::new();
+        a.announce(0, [1]).unwrap();
+        a.announce(5, [6]).unwrap();
+        // Node 0 agrees, node 5 does not: the conflict sits after an
+        // announcement the receiver already holds.
+        let mut b: TopologyView<u32> = TopologyView::new();
+        b.announce(0, [1]).unwrap();
+        b.announce(5, [6, 7]).unwrap();
+        assert_eq!(
+            a.merge(&b).unwrap_err(),
+            ViewInconsistency::ConflictingAnnouncement { node: 5 }
+        );
     }
 
     #[test]

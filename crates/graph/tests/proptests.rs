@@ -120,6 +120,50 @@ proptest! {
         prop_assert_eq!(g.edge_count(), true_edges);
     }
 
+    /// `merge` is an `announce`-by-`announce` fold of the other view: the
+    /// same result (change flag or first inconsistency) and the same final
+    /// state, whether the views agree, overlap or conflict.
+    #[test]
+    fn view_merge_equals_announce_fold(
+        mine in proptest::collection::vec(
+            (0u32..8, proptest::collection::btree_set(0u32..8, 0..4)), 0..8),
+        theirs in proptest::collection::vec(
+            (0u32..8, proptest::collection::btree_set(0u32..8, 0..4)), 0..8),
+        shared in 0usize..8,
+    ) {
+        // Announcements a view refuses are simply not part of it.
+        let build = |lists: &[(u32, std::collections::BTreeSet<u32>)]| {
+            let mut v: TopologyView<u32> = TopologyView::new();
+            for (node, edges) in lists {
+                let _ = v.announce(*node, edges.iter().copied());
+            }
+            v
+        };
+        let a = build(&mine);
+        // The other view first repeats some of `a`'s announcements, so
+        // the already-known case is exercised alongside new and
+        // conflicting ones.
+        let shared = shared.min(mine.len());
+        let b = build(&[&mine[..shared], &theirs[..]].concat());
+
+        let mut merged = a.clone();
+        let got = merged.merge(&b);
+
+        let mut folded = a.clone();
+        let mut want = Ok(false);
+        for node in b.announced() {
+            let before = folded.announced_count() + folded.mentioned_count();
+            if let Err(e) = folded.announce(node, b.announced_edges(node).unwrap().iter().copied()) {
+                want = Err(e);
+                break;
+            }
+            let grew = folded.announced_count() + folded.mentioned_count() != before;
+            want = want.map(|changed| changed || grew);
+        }
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(&merged, &folded);
+    }
+
     /// Announced claims always round-trip through the dense graph.
     #[test]
     fn view_to_graph_preserves_claimed_degrees(
